@@ -12,7 +12,9 @@
 //!   find *potential branching points* (branching opcode, single successor),
 //!   and compute each location's distance to the nearest one.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+
+use chef_solver::{FxHashMap, FxHashSet};
 
 /// Node index in the [`HlTree`]. Node 0 is the root (before any `log_pc`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -34,7 +36,7 @@ struct HlNode {
 #[derive(Debug)]
 pub struct HlTree {
     nodes: Vec<HlNode>,
-    children: HashMap<(HlNodeId, u64), HlNodeId>,
+    children: FxHashMap<(HlNodeId, u64), HlNodeId>,
 }
 
 impl Default for HlTree {
@@ -52,7 +54,7 @@ impl HlTree {
                 hlpc: u64::MAX,
                 depth: 0,
             }],
-            children: HashMap::new(),
+            children: FxHashMap::default(),
         }
     }
 
@@ -104,7 +106,7 @@ impl HlTree {
 #[derive(Clone, Debug, Default)]
 struct CfgNode {
     opcode: u64,
-    succs: HashSet<u64>,
+    succs: FxHashSet<u64>,
     /// How many times this HLPC was observed (execution frequency).
     hits: u64,
 }
@@ -113,10 +115,10 @@ struct CfgNode {
 /// coverage heuristics of §3.4.
 #[derive(Debug, Default)]
 pub struct HlCfg {
-    nodes: HashMap<u64, CfgNode>,
+    nodes: FxHashMap<u64, CfgNode>,
     dirty: bool,
-    distances: HashMap<u64, u32>,
-    branching_opcodes: HashSet<u64>,
+    distances: FxHashMap<u64, u32>,
+    branching_opcodes: FxHashSet<u64>,
 }
 
 impl HlCfg {
@@ -181,8 +183,8 @@ impl HlCfg {
         self.dirty = false;
         // 1. Branching opcodes: opcodes observed terminating a "block" with
         //    out-degree >= 2; drop the 10% least frequent (§3.4).
-        let mut opcode_freq: HashMap<u64, u64> = HashMap::new();
-        let mut branching: HashMap<u64, u64> = HashMap::new();
+        let mut opcode_freq: FxHashMap<u64, u64> = FxHashMap::default();
+        let mut branching: FxHashMap<u64, u64> = FxHashMap::default();
         for n in self.nodes.values() {
             *opcode_freq.entry(n.opcode).or_insert(0) += n.hits;
             if n.succs.len() >= 2 {
@@ -206,7 +208,7 @@ impl HlCfg {
             .collect();
         // 3. Multi-source BFS on reversed edges gives, for every location,
         //    the forward distance to the nearest potential branching point.
-        let mut preds: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut preds: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
         for (&pc, n) in &self.nodes {
             for &s in &n.succs {
                 preds.entry(s).or_default().push(pc);

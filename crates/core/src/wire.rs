@@ -65,8 +65,10 @@ pub const MAGIC: [u8; 4] = *b"CHWR";
 /// gauge and segment-length histogram inside `TraceStats`, the
 /// `ff_skipped` [`ExecStats`] counter, a learned-site-table section on
 /// [`Report`], and the standalone [`FfTable`] frame fleet workers and
-/// serve sessions exchange.
-pub const VERSION: u16 = 6;
+/// serve sessions exchange. Version 7 appends a session's other status
+/// counters (tests added and seeded, resume seed split, last-slice test
+/// rate, watchdog aborts, poisoned seeds) to [`SchedStats`].
+pub const VERSION: u16 = 7;
 
 /// First version whose frames carry a trailing CRC-32.
 pub const CRC_VERSION: u16 = 3;
@@ -904,16 +906,35 @@ impl Wire for SchedStats {
         w.u64(self.preemptions);
         w.u64(self.wait_ms);
         w.u64(self.cpu_ll);
+        w.u64(self.new_tests);
+        w.u64(self.seeded_tests);
+        w.u64(self.resume_snapshot_seeds);
+        w.u64(self.resume_full_seeds);
+        w.u64(self.tests_per_sec_milli);
+        w.u64(self.watchdog_aborts);
+        w.u64(self.poisoned_seeds);
     }
 
-    fn decode_body(r: &mut Reader, _version: u16) -> Result<Self, WireError> {
-        Ok(SchedStats {
+    fn decode_body(r: &mut Reader, version: u16) -> Result<Self, WireError> {
+        let mut s = SchedStats {
             quota: r.u64()?,
             slices: r.u64()?,
             preemptions: r.u64()?,
             wait_ms: r.u64()?,
             cpu_ll: r.u64()?,
-        })
+            ..SchedStats::default()
+        };
+        // Older frames predate the status counters: they read as zero.
+        if version >= 7 {
+            s.new_tests = r.u64()?;
+            s.seeded_tests = r.u64()?;
+            s.resume_snapshot_seeds = r.u64()?;
+            s.resume_full_seeds = r.u64()?;
+            s.tests_per_sec_milli = r.u64()?;
+            s.watchdog_aborts = r.u64()?;
+            s.poisoned_seeds = r.u64()?;
+        }
+        Ok(s)
     }
 }
 

@@ -76,6 +76,11 @@ fn v2_schedstats_golden_bytes_still_decode() {
     assert_eq!(s.preemptions, 6);
     assert_eq!(s.wait_ms, 123);
     assert_eq!(s.cpu_ll, 45678);
+    assert_eq!(
+        (s.new_tests, s.watchdog_aborts),
+        (0, 0),
+        "v2 predates the status counters"
+    );
 }
 
 /// Hand-builds a v4 Report frame (the layout the v5 trace section was

@@ -356,23 +356,34 @@ pub fn run_fleet_with(
         tests_total: AtomicUsize::new(0),
         cfg_edges: Mutex::new(HashSet::new()),
     };
+    // Worker 0 runs on the calling thread and only workers 1.. get threads
+    // of their own, so a single-worker fleet (every daemon slice) spawns
+    // nothing: a thread per slice made a long-lived daemon's heap grow
+    // with the slices it ran. The caller's own trace stats are set aside
+    // meanwhile, so the report holds only the fleet's.
+    let caller_trace = chef_trace::take_local();
     let results: Vec<(Report, Vec<WorkSeed>, Option<Arc<Snapshot>>)> = std::thread::scope(|s| {
+        let mut initial = initial.into_iter();
+        let first = initial.next().unwrap_or_default();
         let handles: Vec<_> = initial
-            .into_iter()
             .enumerate()
-            .map(|(w, mine)| {
+            .map(|(i, mine)| {
                 let shared = &shared;
                 let config = &config;
-                s.spawn(move || worker(w, prog, config, jobs, mine, shared, ctl))
+                s.spawn(move || worker(i + 1, prog, config, jobs, mine, shared, ctl))
             })
             .collect();
         // Worker index order, so the merge is deterministic regardless of
         // thread scheduling.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+        let mut results = vec![worker(0, prog, &config, jobs, first, &shared, ctl)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        results
     });
+    chef_trace::restore_local(caller_trace);
     let mut frontier: Vec<WorkSeed> = Vec::new();
     let mut reports = Vec::with_capacity(results.len());
     // All workers capture the same deterministic fork-point image; keep

@@ -5,13 +5,11 @@
 //! outcomes and measure line coverage. It is also the differential-testing
 //! oracle for the symbolic executor.
 
-use std::collections::HashMap;
-
 use crate::ir::{
     trace_kind, BinOp, Block, FuncId, InputMap, Inst, Intrinsic, MemSize, Operand, Program, Reg,
     Term,
 };
-use chef_solver::eval_bin;
+use chef_solver::{eval_bin, FxHashMap};
 
 const PAGE_BITS: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
@@ -19,7 +17,7 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// Sparse byte-addressable memory backed by pages. Unmapped bytes read zero.
 #[derive(Default, Clone)]
 pub struct ConcreteMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: FxHashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl ConcreteMem {
@@ -395,7 +393,7 @@ impl SegPage {
 /// into a direct vector index instead of a hash lookup per byte.
 pub struct SegMem<'a> {
     src: &'a dyn PageSource,
-    index: HashMap<u64, usize>,
+    index: FxHashMap<u64, usize>,
     pages: Vec<(u64, SegPage)>,
     last: (u64, usize),
     pool: Vec<SegPage>,
@@ -414,7 +412,7 @@ impl<'a> SegMem<'a> {
     pub fn with_pool(src: &'a dyn PageSource, pool: Vec<SegPage>) -> Self {
         SegMem {
             src,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             pages: Vec::new(),
             last: (u64::MAX, usize::MAX),
             pool,
@@ -848,7 +846,7 @@ enum SuperEntry {
 /// purely an execution-speed structure — it never affects results.
 #[derive(Default)]
 pub struct SuperCache {
-    blocks: HashMap<(u32, u32), SuperEntry>,
+    blocks: FxHashMap<(u32, u32), SuperEntry>,
 }
 
 impl SuperCache {

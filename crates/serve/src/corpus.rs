@@ -20,7 +20,8 @@
 //!                             program after a restart
 //!     checkpoint.bin        — the unexplored frontier as WorkSeed frames
 //!     sched.bin             — the session's SchedStats frame, so
-//!                             fair-share accounting survives restarts
+//!                             fair-share accounting and status counters
+//!                             survive restarts and registry trims
 //!     trace.bin             — the session's cumulative TraceStats frame
 //!                             (phase time attribution; reporting-only)
 //!     state                 — "running" | "paused" | "exhausted" |
@@ -880,6 +881,17 @@ mod tests {
     use chef_core::wire::FRAME_HEADER;
     use std::collections::HashMap;
 
+    /// Holds the process-wide fault-plan lock for a test's duration: every
+    /// test here does disk I/O, which a concurrently installed fault plan
+    /// would otherwise break at random. A failing test poisons the lock;
+    /// taking it anyway keeps that one failure from failing every later
+    /// test too.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        crate::test_fault_lock()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("chef-serve-corpus-{tag}-{}", std::process::id()));
@@ -905,6 +917,7 @@ mod tests {
 
     #[test]
     fn tests_dedup_across_appends() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("dedup")).unwrap();
         assert_eq!(corpus.append_tests("k", &[tc(0, 1), tc(1, 2)]).unwrap(), 2);
         assert_eq!(
@@ -919,6 +932,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_dropped_not_fatal() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("trunc")).unwrap();
         corpus.append_tests("k", &[tc(0, 1), tc(1, 2)]).unwrap();
         // Simulate a crash mid-append: chop bytes off the end.
@@ -935,6 +949,7 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_and_states() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("ckpt")).unwrap();
         assert_eq!(corpus.load_checkpoint("s1").unwrap(), None);
         let frontier = vec![WorkSeed::from_choices(vec![1, 2]), WorkSeed::root()];
@@ -949,6 +964,7 @@ mod tests {
 
     #[test]
     fn session_ids_are_monotonic_and_persistent() {
+        let _serial = serial();
         let root = tmpdir("ids");
         let corpus = Corpus::open(&root).unwrap();
         assert_eq!(corpus.next_session_id().unwrap(), "s1");
@@ -961,6 +977,7 @@ mod tests {
 
     #[test]
     fn hostile_names_cannot_escape_the_data_dir() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("esc")).unwrap();
         corpus.save_state("../../evil", "x").unwrap();
         assert!(corpus.root().join("sessions/______evil/state").exists());
@@ -969,6 +986,7 @@ mod tests {
 
     #[test]
     fn target_budget_caps_appends_at_frame_granularity() {
+        let _serial = serial();
         let mut corpus = Corpus::open(tmpdir("budget")).unwrap();
         let frame_len = tc(0, 0).to_frame().len() as u64;
         corpus.set_target_budget(Some(frame_len * 2));
@@ -992,6 +1010,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_truncated_tail_and_trims_to_budget() {
+        let _serial = serial();
         let mut corpus = Corpus::open(tmpdir("compact")).unwrap();
         corpus
             .append_tests("k", &[tc(0, 1), tc(1, 2), tc(2, 3)])
@@ -1042,6 +1061,7 @@ mod tests {
 
     #[test]
     fn snapshot_gc_keeps_only_checkpoint_referenced_fingerprints() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("gc")).unwrap();
         let live = snap(1);
         let dead = snap(2);
@@ -1063,6 +1083,7 @@ mod tests {
 
     #[test]
     fn append_after_torn_tail_trims_before_extending() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("toration")).unwrap();
         corpus.append_tests("k", &[tc(0, 1), tc(1, 2)]).unwrap();
         let path = corpus.root().join("corpus/k/tests.bin");
@@ -1080,6 +1101,7 @@ mod tests {
 
     #[test]
     fn repair_stream_resyncs_past_a_mid_file_flip() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("resync")).unwrap();
         corpus
             .append_tests("k", &[tc(0, 1), tc(1, 2), tc(2, 3)])
@@ -1105,6 +1127,7 @@ mod tests {
 
     #[test]
     fn scrub_truncates_ragged_coverage_and_drops_bad_snapshots() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("scrubcov")).unwrap();
         corpus
             .merge_coverage("k", &[1u64, 2, 3].into_iter().collect())
@@ -1130,6 +1153,7 @@ mod tests {
 
     #[test]
     fn scrub_quarantines_sessions_with_unparseable_specs() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("quar")).unwrap();
         corpus.save_spec("s1", "{not json at all").unwrap();
         corpus.save_checkpoint("s1", &[WorkSeed::root()]).unwrap();
@@ -1151,6 +1175,7 @@ mod tests {
 
     #[test]
     fn scrub_sweeps_stray_tmp_files() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("tmps")).unwrap();
         corpus.save_state("s1", "paused").unwrap();
         fs::write(corpus.root().join("sessions/s1/checkpoint.tmp"), b"half").unwrap();
@@ -1172,7 +1197,7 @@ mod tests {
     #[test]
     fn injected_torn_write_leaves_recoverable_stream() {
         use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("faultt")).unwrap();
         corpus.append_tests("k", &[tc(0, 1)]).unwrap();
         chef_core::fault::install(std::sync::Arc::new(FaultPlan::new(
@@ -1195,7 +1220,7 @@ mod tests {
     #[test]
     fn injected_enospc_keeps_destination_intact_for_atomic_writes() {
         use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("faulte")).unwrap();
         let frontier = vec![WorkSeed::from_choices(vec![1])];
         corpus.save_checkpoint("s1", &frontier).unwrap();
@@ -1222,7 +1247,7 @@ mod tests {
     #[test]
     fn injected_bit_flip_is_caught_by_frame_crcs() {
         use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("faultb")).unwrap();
         corpus.append_tests("k", &[tc(0, 1), tc(1, 2)]).unwrap();
         chef_core::fault::install(std::sync::Arc::new(FaultPlan::new(
@@ -1245,6 +1270,7 @@ mod tests {
 
     #[test]
     fn tokens_roundtrip_for_idempotent_submit() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("tok")).unwrap();
         corpus.save_token("s1", "client-abc-1").unwrap();
         corpus.save_token("s2", "client-abc-2").unwrap();
@@ -1261,6 +1287,7 @@ mod tests {
 
     #[test]
     fn sched_stats_roundtrip_and_corrupt_tolerance() {
+        let _serial = serial();
         let corpus = Corpus::open(tmpdir("sched")).unwrap();
         assert_eq!(corpus.load_sched("s1").unwrap(), None);
         let stats = SchedStats {
@@ -1269,6 +1296,13 @@ mod tests {
             preemptions: 6,
             wait_ms: 123,
             cpu_ll: 45_678,
+            new_tests: 9,
+            seeded_tests: 8,
+            resume_snapshot_seeds: 5,
+            resume_full_seeds: 4,
+            tests_per_sec_milli: 3_210,
+            watchdog_aborts: 2,
+            poisoned_seeds: 1,
         };
         corpus.save_sched("s1", &stats).unwrap();
         assert_eq!(corpus.load_sched("s1").unwrap(), Some(stats));

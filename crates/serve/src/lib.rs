@@ -154,6 +154,13 @@ impl Default for ServeConfig {
 /// poisoned (first degraded to full replay, then quarantined).
 pub const POISON_AFTER_TIMEOUTS: u64 = 2;
 
+/// Settled sessions the daemon keeps in memory. Older ones are dropped
+/// from the registry and rehydrated from disk on their next request, so a
+/// long-lived daemon's memory does not grow with the jobs it has run. A
+/// session's state, trace and every `status` counter are on disk by the
+/// time it settles, so a rehydrated session reports what it did before.
+pub const SETTLED_IN_MEMORY: usize = 64;
+
 /// Capacity of the in-daemon event ring: old events are dropped, never
 /// blocked on. Sized so a stalled operator still sees minutes of
 /// scheduling history at typical slice rates.
@@ -345,6 +352,9 @@ pub(crate) struct SessionState {
     /// Between-slice carry state; `None` until the first slice (or after a
     /// rest state, so resume re-prepares from the checkpoint).
     prep: Mutex<Option<Prepared>>,
+    /// When the session last settled, in [`Inner::note_settled`] order (0
+    /// while it never has); the registry drops the oldest first.
+    settled_seq: AtomicU64,
 }
 
 impl SessionState {
@@ -374,6 +384,7 @@ impl SessionState {
             poisoned_seeds: AtomicU64::new(0),
             trace: Mutex::new(chef_trace::TraceStats::default()),
             prep: Mutex::new(None),
+            settled_seq: AtomicU64::new(0),
         }
     }
 
@@ -391,7 +402,35 @@ impl SessionState {
             preemptions: self.preemptions.load(Ordering::Relaxed),
             wait_ms: self.wait_ms.load(Ordering::Relaxed),
             cpu_ll: self.spent_ll.load(Ordering::Relaxed),
+            new_tests: self.new_tests.load(Ordering::Relaxed),
+            seeded_tests: self.seeded_tests.load(Ordering::Relaxed),
+            resume_snapshot_seeds: self.resume_snapshot_seeds.load(Ordering::Relaxed),
+            resume_full_seeds: self.resume_full_seeds.load(Ordering::Relaxed),
+            tests_per_sec_milli: self.tests_per_sec_milli.load(Ordering::Relaxed),
+            watchdog_aborts: self.watchdog_aborts.load(Ordering::Relaxed),
+            poisoned_seeds: self.poisoned_seeds.load(Ordering::Relaxed),
         }
+    }
+
+    /// Restores counters [`SessionState::sched_stats`] persisted.
+    fn restore_stats(&self, stats: &SchedStats) {
+        self.sched_slices.store(stats.slices, Ordering::Relaxed);
+        self.preemptions.store(stats.preemptions, Ordering::Relaxed);
+        self.wait_ms.store(stats.wait_ms, Ordering::Relaxed);
+        self.spent_ll.store(stats.cpu_ll, Ordering::Relaxed);
+        self.new_tests.store(stats.new_tests, Ordering::Relaxed);
+        self.seeded_tests
+            .store(stats.seeded_tests, Ordering::Relaxed);
+        self.resume_snapshot_seeds
+            .store(stats.resume_snapshot_seeds, Ordering::Relaxed);
+        self.resume_full_seeds
+            .store(stats.resume_full_seeds, Ordering::Relaxed);
+        self.tests_per_sec_milli
+            .store(stats.tests_per_sec_milli, Ordering::Relaxed);
+        self.watchdog_aborts
+            .store(stats.watchdog_aborts, Ordering::Relaxed);
+        self.poisoned_seeds
+            .store(stats.poisoned_seeds, Ordering::Relaxed);
     }
 
     fn status_value(&self, inner: &Inner) -> Value {
@@ -410,16 +449,10 @@ impl SessionState {
         let live_ll = self.ctl.ll_instructions.load(Ordering::Relaxed);
         let live_tests = self.ctl.tests_generated.load(Ordering::Relaxed);
         let mine = self.spent_ll.load(Ordering::Relaxed) + live_ll;
-        // cpu-share: this session's lifetime instructions over every known
-        // session's — the quantity the scheduler's quotas apportion.
-        let pool: u64 = inner
-            .sessions
-            .lock()
-            .unwrap()
-            .values()
-            .map(|s| s.spent_ll.load(Ordering::Relaxed))
-            .sum::<u64>()
-            .max(mine);
+        // cpu-share: this session's lifetime instructions over those of
+        // every session on disk — the quantity the scheduler's quotas
+        // apportion.
+        let pool = inner.ll_total.load(Ordering::Relaxed).max(mine);
         let share = if pool == 0 {
             0.0
         } else {
@@ -497,7 +530,14 @@ impl SessionState {
 pub(crate) struct Inner {
     config: ServeConfig,
     pub(crate) corpus: Corpus,
+    /// In-memory session registry: every running session plus at most
+    /// [`SETTLED_IN_MEMORY`] settled ones (see [`Inner::note_settled`]).
     sessions: Mutex<HashMap<String, Arc<SessionState>>>,
+    /// Settle counter behind [`SessionState::settled_seq`].
+    settle_clock: AtomicU64,
+    /// Completed-slice instructions of every session on disk, lifetime:
+    /// the denominator of `status`'s `cpu_share`.
+    ll_total: AtomicU64,
     pub(crate) sched: Scheduler,
     conns: AtomicUsize,
     stop: AtomicBool,
@@ -522,6 +562,34 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
+    /// Records that `sess` settled (paused, exhausted, done or failed) and
+    /// trims the registry: beyond [`SETTLED_IN_MEMORY`] settled sessions
+    /// that nothing else holds, the longest-settled are dropped. Their state
+    /// is on disk, and [`session_of`] rehydrates them on their next request.
+    pub(crate) fn note_settled(&self, sess: &SessionState) {
+        let seq = self.settle_clock.fetch_add(1, Ordering::Relaxed) + 1;
+        sess.settled_seq.store(seq, Ordering::Relaxed);
+        let mut sessions = self.sessions.lock().unwrap();
+        // A count of one means only the registry holds the session, so no
+        // request or pool worker can be acting on it.
+        let mut idle: Vec<(u64, String)> = sessions
+            .iter()
+            .filter(|(_, s)| {
+                Arc::strong_count(s) == 1
+                    && s.settled_seq.load(Ordering::Relaxed) > 0
+                    && s.state.lock().unwrap().as_str() != "running"
+            })
+            .map(|(id, s)| (s.settled_seq.load(Ordering::Relaxed), id.clone()))
+            .collect();
+        if idle.len() <= SETTLED_IN_MEMORY {
+            return;
+        }
+        idle.sort_unstable();
+        for (_, id) in &idle[..idle.len() - SETTLED_IN_MEMORY] {
+            sessions.remove(id);
+        }
+    }
+
     /// Appends one event to the bounded ring, stamping it with the
     /// scheduler's current virtual time and the daemon's wall clock.
     pub(crate) fn trace_event(&self, kind: &'static str, session: &str, detail: String) {
@@ -552,11 +620,18 @@ impl Server {
         // starts below must only ever see CRC-clean frames.
         let scrub = corpus.scrub()?;
         // Orphan recovery: a state file saying "running" with no daemon
-        // behind it means we were killed; the checkpoint stands.
+        // behind it means we were killed; the checkpoint stands. The same
+        // pass totals every session's lifetime instructions.
+        let mut ll_total = 0;
         for id in corpus.session_ids()? {
             if corpus.load_state(&id)?.as_deref() == Some("running") {
                 corpus.save_state(&id, "paused")?;
             }
+            ll_total += corpus
+                .load_sched(&id)
+                .ok()
+                .flatten()
+                .map_or(0, |s| s.cpu_ll);
         }
         // Corpus lifecycle: after recovery, every live snapshot is
         // referenced by some checkpoint; drop the rest.
@@ -574,6 +649,8 @@ impl Server {
             config,
             corpus,
             sessions: Mutex::new(HashMap::new()),
+            settle_clock: AtomicU64::new(0),
+            ll_total: AtomicU64::new(ll_total),
             sched,
             conns: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -897,7 +974,8 @@ fn trace_value(t: &chef_trace::TraceStats) -> Value {
 }
 
 /// The `trace` command: recent daemon events after a client cursor, plus
-/// per-session and daemon-wide phase breakdowns. This is the wire surface
+/// per-session (sessions in memory: running and recently settled) and
+/// daemon-wide phase breakdowns. This is the wire surface
 /// `chef-cli top` and `chef-cli trace` render.
 fn cmd_trace(inner: &Arc<Inner>, req: &Value) -> Value {
     let after = req.get("after").and_then(Value::as_u64).unwrap_or(0);
@@ -1035,24 +1113,27 @@ fn session_of(inner: &Arc<Inner>, req: &Value) -> Result<Arc<SessionState>, Valu
         .unwrap_or_else(|| "paused".to_string());
     let target = spec.target_key();
     let sess = Arc::new(SessionState::new(id.to_string(), spec, target, state));
-    // Fair-share accounting survives restarts: rehydrate the scheduling
-    // counters persisted alongside the checkpoint.
+    // Fair-share accounting and the status counters survive restarts and
+    // registry trims: rehydrate what was persisted alongside the checkpoint.
     if let Ok(Some(stats)) = inner.corpus.load_sched(id) {
-        sess.sched_slices.store(stats.slices, Ordering::Relaxed);
-        sess.preemptions.store(stats.preemptions, Ordering::Relaxed);
-        sess.wait_ms.store(stats.wait_ms, Ordering::Relaxed);
-        sess.spent_ll.store(stats.cpu_ll, Ordering::Relaxed);
+        sess.restore_stats(&stats);
     }
     // Phase attribution likewise: a rehydrated session reports lifetime
     // percentages, not since-restart ones.
     if let Ok(Some(trace)) = inner.corpus.load_trace(id) {
         *sess.trace.lock().unwrap() = trace;
     }
-    inner
-        .sessions
-        .lock()
-        .unwrap()
-        .insert(id.to_string(), Arc::clone(&sess));
+    // A concurrent request may have rehydrated the same session meanwhile:
+    // keep one object per id, so state changes stay serialized on it.
+    let sess = Arc::clone(
+        inner
+            .sessions
+            .lock()
+            .unwrap()
+            .entry(id.to_string())
+            .or_insert(sess),
+    );
+    inner.note_settled(&sess);
     Ok(sess)
 }
 
@@ -1265,7 +1346,11 @@ pub(crate) fn session_slice(
     if prep_guard.is_none() {
         match prepare_session(inner, sess)? {
             Some(p) => *prep_guard = Some(p),
-            None => return Ok((SliceVerdict::Done, 0)),
+            None => {
+                // Preparation updated the counters; no slice will save them.
+                let _ = inner.corpus.save_sched(&sess.id, &sess.sched_stats());
+                return Ok((SliceVerdict::Done, 0));
+            }
         }
     }
     let prep = prep_guard.as_mut().expect("prepared above");
@@ -1303,6 +1388,7 @@ pub(crate) fn session_slice(
     let ll = outcome.report.exec_stats.ll_instructions;
     prep.spent += ll;
     sess.spent_ll.fetch_add(ll, Ordering::Relaxed);
+    inner.ll_total.fetch_add(ll, Ordering::Relaxed);
 
     {
         // Everything from here to the checkpoint write is corpus I/O; the

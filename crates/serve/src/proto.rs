@@ -151,8 +151,8 @@ pub struct SessionStatus {
     /// worker, `k ≥ 1` as the k-th waiting session, `-1` when the
     /// scheduler does not hold the session (settled or paused).
     pub queue_position: i64,
-    /// This session's lifetime share of all sessions' executed low-level
-    /// instructions, in `[0, 1]`.
+    /// This session's lifetime share of the executed low-level
+    /// instructions of every session in the data directory, in `[0, 1]`.
     pub cpu_share: f64,
     /// Checkpoint slices the pool has dispatched for the session.
     pub sched_slices: u64,
@@ -269,7 +269,9 @@ impl Default for ClientConfig {
 /// Daemon-wide robustness counters, as reported by the `stats` command.
 #[derive(Clone, Debug, Default)]
 pub struct DaemonStats {
-    /// Sessions the daemon currently knows about in memory.
+    /// Sessions the daemon currently holds in memory: every running one
+    /// plus at most [`crate::SETTLED_IN_MEMORY`] settled ones (older settled
+    /// sessions stay on disk and answer every request from there).
     pub sessions: u64,
     /// Of those, how many are `running`.
     pub running: u64,
@@ -468,7 +470,9 @@ impl Client {
 
     /// Drains daemon trace events after the cursor `after` (0 = from the
     /// oldest retained event), plus per-session and daemon-wide phase
-    /// breakdowns. Returns the raw reply; `chef-cli top`/`trace` render
+    /// breakdowns. The per-session list covers the sessions in memory (see
+    /// [`DaemonStats::sessions`]); `status` reads any other session's
+    /// breakdown from disk. Returns the raw reply; `chef-cli top`/`trace` render
     /// it, and callers page by re-issuing with the reply's `next` value.
     pub fn trace(&self, after: u64) -> Result<Value, ServeError> {
         self.call(Value::obj(vec![

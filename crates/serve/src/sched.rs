@@ -320,6 +320,14 @@ fn min_entry(queue: &[Entry]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
+/// Moves `sess` to a rest state and lets the registry trim itself. Its
+/// counters must be on disk by now: the registry may drop the session
+/// from memory from here on.
+fn settle(inner: &Inner, sess: &SessionState, state: &str) {
+    sess.set_state(&inner.corpus, state);
+    inner.note_settled(sess);
+}
+
 /// One pool worker: dispatch → run one slice → account → requeue/retire,
 /// until the drain empties the queue.
 fn worker_loop(inner: Arc<Inner>) {
@@ -329,7 +337,7 @@ fn worker_loop(inner: Arc<Inner>) {
         // without burning a slice (shutdown drains whole queues this way).
         if sess.ctl.pause_requested() {
             inner.sched.retire(&entry);
-            sess.set_state(&inner.corpus, "paused");
+            settle(&inner, &sess, "paused");
             continue;
         }
         // Arm the watchdog for this slice. The deadline covers the whole
@@ -384,15 +392,15 @@ fn worker_loop(inner: Arc<Inner>) {
             }
             Ok((SliceVerdict::Paused, _)) => {
                 inner.sched.retire(&entry);
-                sess.set_state(&inner.corpus, "paused");
+                settle(&inner, &sess, "paused");
             }
             Ok((SliceVerdict::Exhausted, _)) => {
                 inner.sched.retire(&entry);
-                sess.set_state(&inner.corpus, "exhausted");
+                settle(&inner, &sess, "exhausted");
             }
             Ok((SliceVerdict::Done, _)) => {
                 inner.sched.retire(&entry);
-                sess.set_state(&inner.corpus, "done");
+                settle(&inner, &sess, "done");
                 // Corpus lifecycle: a finished session is the natural
                 // compaction point for its target (drops any truncated
                 // tail and trims to the per-target budget).
@@ -405,13 +413,15 @@ fn worker_loop(inner: Arc<Inner>) {
                 // fault. The failed slice re-executes deterministically.
                 inner.io_pauses.fetch_add(1, Ordering::Relaxed);
                 inner.sched.retire(&entry);
+                // The slice stopped before persisting its counters.
+                let _ = inner.corpus.save_sched(&sess.id, &sess.sched_stats());
                 inner.trace_event("io_pause", &sess.id, e.clone());
                 eprintln!("chef-serve: session {} paused on io error: {e}", sess.id);
-                sess.set_state(&inner.corpus, "paused");
+                settle(&inner, &sess, "paused");
             }
             Err(SliceError::Fatal(e)) => {
                 inner.sched.retire(&entry);
-                sess.set_state(&inner.corpus, &format!("failed: {e}"));
+                settle(&inner, &sess, &format!("failed: {e}"));
             }
         }
     }

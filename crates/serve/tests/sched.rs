@@ -9,7 +9,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use chef_core::Chef;
-use chef_serve::{Client, Corpus, JobLang, JobSpec, ServeConfig, ServeError, Server, RESULTS_PAGE};
+use chef_serve::{
+    Client, Corpus, JobLang, JobSpec, ServeConfig, ServeError, Server, SessionStatus, RESULTS_PAGE,
+    SETTLED_IN_MEMORY,
+};
 
 type InputSet = BTreeSet<Vec<(String, Vec<u8>)>>;
 
@@ -381,6 +384,96 @@ def scan(msg):
         client.pause(id).unwrap();
         client.wait_settled(id, Duration::from_secs(120)).unwrap();
     }
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `status` figure of a settled session except the ones that move
+/// with its neighbors (`cpu_share`) or the queue (`queue_position`).
+#[derive(Debug, PartialEq)]
+struct Settled {
+    state: String,
+    tests: (u64, u64, u64),
+    ll_instructions: u64,
+    tests_per_sec: f64,
+    resume: (u64, u64),
+    sched: (u64, u64, u64),
+    watchdog: (u64, u64),
+}
+
+fn settled_view(st: &SessionStatus) -> Settled {
+    Settled {
+        state: st.state.clone(),
+        tests: (st.new_tests, st.seeded_tests, st.corpus_tests),
+        ll_instructions: st.ll_instructions,
+        tests_per_sec: st.tests_per_sec,
+        resume: (st.resume_snapshot_seeds, st.resume_full_seeds),
+        sched: (st.sched_slices, st.preemptions, st.wait_ms),
+        watchdog: (st.watchdog_aborts, st.poisoned_seeds),
+    }
+}
+
+/// `cpu_share` divides by one daemon-wide total, so the shares of all
+/// sessions add up to 1 (each is rounded to 3 decimals on the wire).
+fn assert_shares_sum_to_one(listed: &[SessionStatus]) {
+    let sum: f64 = listed.iter().map(|s| s.cpu_share).sum();
+    let slack = 0.0005 * listed.len() as f64 + 1e-9;
+    assert!((sum - 1.0).abs() <= slack, "cpu shares sum to {sum}");
+}
+
+/// The daemon's memory must not grow with the jobs it has run: beyond
+/// `SETTLED_IN_MEMORY` settled sessions the registry drops the oldest, and
+/// a dropped session still answers status, results and listing from disk
+/// exactly as before — and, since its counters are on disk, after a
+/// restart too.
+#[test]
+fn settled_sessions_beyond_the_registry_cap_rehydrate_from_disk() {
+    let dir = tmpdir("registry");
+    let (client, _, handle) = start_daemon(&dir, 1, 32, 128);
+    let spec = short_spec();
+    let want = direct_set(&spec);
+    let mut ids = Vec::new();
+    let mut at_settle = Vec::new();
+    for _ in 0..SETTLED_IN_MEMORY + 6 {
+        let id = client.submit(&spec).unwrap();
+        let st = client.wait_settled(&id, Duration::from_secs(120)).unwrap();
+        assert_eq!(st.state, "done");
+        ids.push(id);
+        at_settle.push(settled_view(&st));
+    }
+    // The first session filled the corpus; the rest warm-started from it.
+    assert_eq!(at_settle[0].tests.0 as usize, want.len());
+    assert_eq!(at_settle[1].tests.1 as usize, want.len());
+    // The last settled session is still held by its pool worker when it
+    // settles, hence the one spare slot.
+    let in_memory = client.stats().unwrap().sessions as usize;
+    assert!(
+        in_memory <= SETTLED_IN_MEMORY + 1,
+        "registry holds {in_memory} sessions"
+    );
+    // The first session was dropped; it rehydrates with its final state,
+    // every counter it reported in memory, and its corpus.
+    let first = client.status(&ids[0]).unwrap();
+    assert_eq!(settled_view(&first), at_settle[0]);
+    assert_eq!(daemon_set(&client, &ids[0]), want);
+    // Listing every session rehydrates them one by one, and the registry
+    // stays bounded throughout.
+    let listed = client.list().unwrap();
+    assert_eq!(listed.len(), ids.len());
+    let views: Vec<Settled> = listed.iter().map(settled_view).collect();
+    assert_eq!(views, at_settle);
+    assert_shares_sum_to_one(&listed);
+    assert!(client.stats().unwrap().sessions as usize <= SETTLED_IN_MEMORY + 1);
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+
+    // A restarted daemon reports the same figures.
+    let (client, _, handle) = start_daemon(&dir, 1, 32, 128);
+    let listed = client.list().unwrap();
+    let views: Vec<Settled> = listed.iter().map(settled_view).collect();
+    assert_eq!(views, at_settle);
+    assert_shares_sum_to_one(&listed);
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,9 +16,8 @@
 //! [`SatSolver::solve_under_assumptions`]. This is the KLEE/STP-style
 //! incremental discipline: bit-blast once, toggle via assumptions forever.
 
-use std::collections::HashMap;
-
 use crate::expr::{BinOp, ExprId, ExprPool, Node, VarId};
+use crate::fxhash::FxHashMap;
 use crate::sat::{Lit, SatSolver};
 
 /// Journal of one open guard-recycling frame: the map entries inserted
@@ -33,9 +32,9 @@ struct GuardFrame {
 /// Persistent bit-blasting context owning its [`SatSolver`].
 pub struct BitBlaster {
     sat: SatSolver,
-    cache: HashMap<ExprId, Vec<Lit>>,
-    var_bits: HashMap<VarId, Vec<Lit>>,
-    guards: HashMap<ExprId, Lit>,
+    cache: FxHashMap<ExprId, Vec<Lit>>,
+    var_bits: FxHashMap<VarId, Vec<Lit>>,
+    guards: FxHashMap<ExprId, Lit>,
     true_lit: Lit,
     frames: Vec<GuardFrame>,
     /// Assertions whose guard (and CNF) already existed when requested.
@@ -60,9 +59,9 @@ impl BitBlaster {
         sat.add_clause(&[Lit::pos(t)]);
         BitBlaster {
             sat,
-            cache: HashMap::new(),
-            var_bits: HashMap::new(),
-            guards: HashMap::new(),
+            cache: FxHashMap::default(),
+            var_bits: FxHashMap::default(),
+            guards: FxHashMap::default(),
             true_lit: Lit::pos(t),
             frames: Vec::new(),
             guard_hits: 0,

@@ -5,8 +5,10 @@
 //! [`ExprPool`]. Constants fold eagerly, so fully concrete execution never
 //! allocates fresh nodes beyond the interned constants.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+
+use crate::fxhash::{FxHashMap, FxHashSet};
 
 /// Reference to an interned expression node inside an [`ExprPool`].
 ///
@@ -126,6 +128,10 @@ pub fn to_signed(w: u8, v: u64) -> i64 {
     ((v << shift) as i64) >> shift
 }
 
+/// Sub-expression values under one variable assignment (see
+/// [`ExprPool::eval_in`]).
+pub(crate) type EvalMemo = FxHashMap<ExprId, u64>;
+
 /// Metadata about a declared symbolic variable.
 #[derive(Clone, Debug)]
 pub struct VarInfo {
@@ -158,7 +164,7 @@ pub struct VarInfo {
 pub struct ExprPool {
     nodes: Vec<Node>,
     widths: Vec<u8>,
-    intern: HashMap<Node, ExprId>,
+    intern: FxHashMap<Node, ExprId>,
     vars: Vec<VarInfo>,
 }
 
@@ -261,14 +267,16 @@ impl ExprPool {
     }
 
     fn intern_node(&mut self, node: Node, width: u8) -> ExprId {
-        if let Some(&id) = self.intern.get(&node) {
-            return id;
+        match self.intern.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = ExprId(self.nodes.len() as u32);
+                self.nodes.push(e.key().clone());
+                self.widths.push(width);
+                e.insert(id);
+                id
+            }
         }
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.widths.push(width);
-        self.intern.insert(node, id);
-        id
     }
 
     /// Bitwise complement.
@@ -674,8 +682,7 @@ impl ExprPool {
     /// truncated to the variable width. This is the reference semantics the
     /// bit-blaster is tested against.
     pub fn eval(&self, id: ExprId, lookup: &impl Fn(VarId) -> u64) -> u64 {
-        let mut memo: HashMap<ExprId, u64> = HashMap::new();
-        self.eval_memo(id, lookup, &mut memo)
+        self.eval_in(id, lookup, &mut EvalMemo::default())
     }
 
     /// Evaluates a conjunction of width-1 assertions under one shared memo,
@@ -683,16 +690,20 @@ impl ExprPool {
     /// share most of their sub-DAG, so one memo across the conjunction is
     /// substantially cheaper than per-assertion evaluation.
     pub fn eval_conjunction(&self, ids: &[ExprId], lookup: &impl Fn(VarId) -> u64) -> bool {
-        let mut memo: HashMap<ExprId, u64> = HashMap::new();
+        let mut memo = EvalMemo::default();
         ids.iter()
-            .all(|&id| self.eval_memo(id, lookup, &mut memo) == 1)
+            .all(|&id| self.eval_in(id, lookup, &mut memo) == 1)
     }
 
-    fn eval_memo(
+    /// [`Self::eval`] through a caller-owned memo of sub-expression values,
+    /// so repeated evaluations under one assignment share work and reuse
+    /// one allocation. Every entry already in `memo` must have been
+    /// computed under the same `lookup`.
+    pub(crate) fn eval_in(
         &self,
         id: ExprId,
         lookup: &impl Fn(VarId) -> u64,
-        memo: &mut HashMap<ExprId, u64>,
+        memo: &mut EvalMemo,
     ) -> u64 {
         // Iterative post-order evaluation (explicit worklist) with
         // memoization: path conditions grow linearly with executed branches,
@@ -755,15 +766,15 @@ impl ExprPool {
         memo[&id]
     }
 
-    /// Collects the set of variables an expression depends on.
+    /// Collects the set of variables an expression depends on. The cost is
+    /// proportional to the expression's sub-DAG, not to the pool.
     pub fn collect_vars(&self, id: ExprId, out: &mut Vec<VarId>) {
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = FxHashSet::default();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
-            if seen[cur.0 as usize] {
+            if !seen.insert(cur) {
                 continue;
             }
-            seen[cur.0 as usize] = true;
             match self.node(cur) {
                 Node::Const { .. } => {}
                 Node::Var { var, .. } => out.push(*var),
@@ -998,5 +1009,61 @@ mod tests {
         let mut vars = Vec::new();
         p.collect_vars(s2, &mut vars);
         assert_eq!(vars, vec![VarId(0), VarId(1)]);
+    }
+
+    #[test]
+    fn collect_vars_matches_a_whole_pool_walk() {
+        // A pseudo-random DAG over six variables; every node's variable set
+        // must equal the one a dense, pool-sized visited set finds.
+        let mut p = ExprPool::new();
+        let mut nodes: Vec<ExprId> = (0..6).map(|i| p.fresh_var(format!("v{i}"), 8)).collect();
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for _ in 0..400 {
+            let a = nodes[next(nodes.len())];
+            let b = nodes[next(nodes.len())];
+            let e = match next(4) {
+                0 => p.bin(BinOp::Add, a, b),
+                1 => p.bin(BinOp::Xor, a, b),
+                2 => {
+                    let c = p.bin(BinOp::Ult, a, b);
+                    p.ite(c, a, b)
+                }
+                _ => p.not(a),
+            };
+            nodes.push(e);
+        }
+        let dense = |p: &ExprPool, id: ExprId| {
+            let mut seen = vec![false; p.len()];
+            let mut out = Vec::new();
+            let mut stack = vec![id];
+            while let Some(cur) = stack.pop() {
+                if std::mem::replace(&mut seen[cur.0 as usize], true) {
+                    continue;
+                }
+                match p.node(cur) {
+                    Node::Const { .. } => {}
+                    Node::Var { var, .. } => out.push(*var),
+                    Node::Not { a } | Node::Extract { a, .. } | Node::Ext { a, .. } => {
+                        stack.push(*a)
+                    }
+                    Node::Bin { a, b, .. } | Node::Concat { a, b } => stack.extend([*a, *b]),
+                    Node::Ite { cond, t, f } => stack.extend([*cond, *t, *f]),
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        for &n in &nodes {
+            let mut got = Vec::new();
+            p.collect_vars(n, &mut got);
+            assert_eq!(got, dense(&p, n), "node {n:?}");
+        }
     }
 }

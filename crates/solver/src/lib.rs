@@ -39,8 +39,10 @@
 
 pub mod bitblast;
 pub mod expr;
+pub mod fxhash;
 pub mod sat;
 pub mod solver;
 
 pub use expr::{eval_bin, mask, to_signed, BinOp, ExprId, ExprPool, Node, VarId, VarInfo};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use solver::{Model, SatResult, Solver, SolverStats};

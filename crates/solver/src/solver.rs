@@ -17,13 +17,20 @@
 //!    solver). Each component is solved — and cached — separately, so
 //!    unrelated path-condition growth never invalidates a cached answer.
 //! 3. **Bounded query cache** — per-component results with FIFO eviction.
+//! 4. **Memoized model reuse** — before partitioning, a query is tried
+//!    against the all-zeros model and a ring of recent models. Each of
+//!    those models keeps a bounded verdict table (assertion → true/false
+//!    under that model), so a query re-evaluates only the assertions that
+//!    model has not seen yet instead of the whole path condition.
 //!
 //! [`solve_under_assumptions`]: crate::sat::SatSolver::solve_under_assumptions
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use crate::bitblast::BitBlaster;
-use crate::expr::{BinOp, ExprId, ExprPool, VarId};
+use crate::expr::{BinOp, EvalMemo, ExprId, ExprPool, VarId};
+use crate::fxhash::FxHashMap;
 use crate::sat::SatOutcome;
 
 /// A satisfying assignment for the symbolic variables of a query.
@@ -32,7 +39,7 @@ use crate::sat::SatOutcome;
 /// assignment, so replaying it through [`ExprPool::eval`] is always defined.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Model {
-    values: HashMap<VarId, u64>,
+    values: FxHashMap<VarId, u64>,
 }
 
 impl Model {
@@ -207,12 +214,19 @@ impl SolverStats {
 /// ```
 pub struct Solver {
     blaster: BitBlaster,
-    cache: HashMap<Vec<ExprId>, SatResult>,
+    cache: FxHashMap<Vec<ExprId>, SatResult>,
     /// Insertion order of cache keys, for FIFO eviction.
     cache_order: VecDeque<Vec<ExprId>>,
-    model_ring: VecDeque<Model>,
+    /// The all-zeros model, tried first by the reuse fast path.
+    zero: ReuseModel,
+    /// Recent SAT models, oldest first, tried newest first.
+    model_ring: VecDeque<ReuseModel>,
+    /// Scratch memo for evaluating assertions a reuse model has not seen.
+    scratch: EvalMemo,
+    /// Bound on each reuse model's verdict table.
+    verdict_cap: usize,
     /// Memoized variable set per assertion id.
-    vars_of: HashMap<ExprId, Vec<VarId>>,
+    vars_of: VarsMemo,
     /// Per-query conflict budget handed to the SAT backend.
     pub conflict_budget: Option<u64>,
     /// Maximum entries in the query cache before FIFO eviction.
@@ -229,10 +243,13 @@ impl Default for Solver {
     fn default() -> Self {
         Solver {
             blaster: BitBlaster::new(),
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             cache_order: VecDeque::new(),
+            zero: ReuseModel::new(Model::new()),
             model_ring: VecDeque::new(),
-            vars_of: HashMap::new(),
+            scratch: EvalMemo::default(),
+            verdict_cap: VERDICT_CAP,
+            vars_of: VarsMemo::default(),
             conflict_budget: Some(DEFAULT_CONFLICT_BUDGET),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             query_log: None,
@@ -250,6 +267,103 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 15;
 
 /// Number of recent models retained for the reuse fast path.
 const MODEL_RING: usize = 8;
+
+/// Bound on each reuse model's verdict table. A full table is cleared and
+/// refills lazily; verdicts are pure functions of (model, assertion), so
+/// clearing changes cost, never answers.
+const VERDICT_CAP: usize = 1 << 13;
+
+/// Bound on the per-assertion variable-set memo (cleared when full, like
+/// the verdict tables).
+const VARS_OF_CAP: usize = 1 << 15;
+
+/// Entries the scratch evaluation memo may keep allocated between
+/// queries; a larger one (left by a very deep assertion) is released.
+const SCRATCH_KEEP: usize = 1 << 12;
+
+/// A model the reuse fast path tries, with the verdicts it has already
+/// computed: assertion id → whether the assertion holds under `model`.
+struct ReuseModel {
+    model: Model,
+    verdicts: FxHashMap<ExprId, bool>,
+}
+
+impl ReuseModel {
+    fn new(model: Model) -> Self {
+        ReuseModel {
+            model,
+            verdicts: FxHashMap::default(),
+        }
+    }
+
+    /// Whether every assertion in `live` holds under the model — the same
+    /// answer as [`Model::satisfies`] — evaluating only assertions without
+    /// a recorded verdict. Stops at the first false assertion. The verdict
+    /// table is cleared rather than grown past `cap` entries.
+    fn satisfies(
+        &mut self,
+        pool: &ExprPool,
+        live: &[ExprId],
+        scratch: &mut EvalMemo,
+        cap: usize,
+    ) -> bool {
+        let model = &self.model;
+        let mut scratch_fresh = false;
+        for &a in live {
+            let holds = match self.verdicts.get(&a) {
+                Some(&v) => v,
+                None => {
+                    // The scratch memo may hold values under another model.
+                    if !scratch_fresh {
+                        if !scratch.is_empty() {
+                            scratch.clear();
+                        }
+                        scratch_fresh = true;
+                    }
+                    let v = pool.eval_in(a, &|x| model.get(x), scratch) == 1;
+                    if self.verdicts.len() >= cap {
+                        self.verdicts.clear();
+                    }
+                    self.verdicts.insert(a, v);
+                    v
+                }
+            };
+            if !holds {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Bounded memo of each assertion's variable set.
+struct VarsMemo {
+    map: FxHashMap<ExprId, Vec<VarId>>,
+    cap: usize,
+}
+
+impl Default for VarsMemo {
+    fn default() -> Self {
+        VarsMemo {
+            map: FxHashMap::default(),
+            cap: VARS_OF_CAP,
+        }
+    }
+}
+
+impl VarsMemo {
+    /// The sorted, deduplicated variables `a` depends on.
+    fn get(&mut self, pool: &ExprPool, a: ExprId) -> &[VarId] {
+        if self.map.len() >= self.cap && !self.map.contains_key(&a) {
+            self.map.clear();
+        }
+        self.map.entry(a).or_insert_with(|| {
+            let mut v = Vec::new();
+            pool.collect_vars(a, &mut v);
+            v
+        })
+    }
+}
 
 impl Solver {
     /// Creates a solver with empty caches.
@@ -286,20 +400,24 @@ impl Solver {
         if let Some(log) = &mut self.query_log {
             log.push(live.clone());
         }
-        // Model reuse: try the all-zeros model plus recent models.
-        let zero = Model::new();
-        if zero.satisfies(pool, &live) {
-            self.stats.model_reuse_hits += 1;
-            return SatResult::Sat(zero);
+        // Model reuse: the all-zeros model, then recent models newest
+        // first; the first that satisfies the query answers it.
+        let cap = self.verdict_cap;
+        let reused = if self.zero.satisfies(pool, &live, &mut self.scratch, cap) {
+            Some(Model::new())
+        } else {
+            let scratch = &mut self.scratch;
+            self.model_ring.iter_mut().rev().find_map(|m| {
+                m.satisfies(pool, &live, scratch, cap)
+                    .then(|| m.model.clone())
+            })
+        };
+        if self.scratch.capacity() > SCRATCH_KEEP {
+            self.scratch = EvalMemo::default();
         }
-        if let Some(m) = self
-            .model_ring
-            .iter()
-            .rev()
-            .find(|m| m.satisfies(pool, &live))
-        {
+        if let Some(m) = reused {
             self.stats.model_reuse_hits += 1;
-            return SatResult::Sat(m.clone());
+            return SatResult::Sat(m);
         }
         // Independence partitioning: each connected component (assertions
         // linked by shared variables) is solved and cached on its own.
@@ -325,7 +443,7 @@ impl Solver {
             merged.satisfies(pool, &live),
             "model must satisfy the query"
         );
-        self.model_ring.push_back(merged.clone());
+        self.model_ring.push_back(ReuseModel::new(merged.clone()));
         if self.model_ring.len() > MODEL_RING {
             self.model_ring.pop_front();
         }
@@ -346,30 +464,25 @@ impl Solver {
             }
             i
         }
-        let mut owner: HashMap<VarId, usize> = HashMap::new();
+        let mut owner: FxHashMap<VarId, usize> = FxHashMap::default();
         for (i, &a) in live.iter().enumerate() {
-            let vars = self.vars_of.entry(a).or_insert_with(|| {
-                let mut v = Vec::new();
-                pool.collect_vars(a, &mut v);
-                v
-            });
-            for &v in vars.iter() {
+            for &v in self.vars_of.get(pool, a) {
                 match owner.entry(v) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
+                    Entry::Occupied(e) => {
                         let ra = find(&mut parent, i);
                         let rb = find(&mut parent, *e.get());
                         if ra != rb {
                             parent[ra.max(rb)] = ra.min(rb);
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
+                    Entry::Vacant(e) => {
                         e.insert(i);
                     }
                 }
             }
         }
         // Group by root, in first-appearance (= smallest index) order.
-        let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
+        let mut comp_of_root: FxHashMap<usize, usize> = FxHashMap::default();
         let mut comps: Vec<Vec<ExprId>> = Vec::new();
         for (i, &a) in live.iter().enumerate() {
             let r = find(&mut parent, i);
@@ -420,7 +533,7 @@ impl Solver {
             SatOutcome::Sat(bits) => {
                 let mut model = Model::new();
                 for &a in comp {
-                    for &v in &self.vars_of[&a] {
+                    for &v in self.vars_of.get(pool, a) {
                         model.set(v, self.blaster.var_value(v, &bits));
                     }
                 }
@@ -837,5 +950,195 @@ mod tests {
             // every distinct solved component was inserted exactly once
             s.stats.sat_calls as usize
         });
+    }
+
+    #[test]
+    fn memo_tables_stay_within_their_caps() {
+        let mut pool = ExprPool::new();
+        let mut s = Solver::new();
+        s.verdict_cap = 3;
+        s.vars_of.cap = 2;
+        let x = pool.fresh_var("x", 8);
+        let y = pool.fresh_var("y", 8);
+        let mut path = Vec::new();
+        for k in 1..40u64 {
+            let c = pool.constant(8, k);
+            let lt = pool.bin(BinOp::Ult, c, x);
+            let ne = pool.ne(y, c);
+            path.push(if k % 2 == 0 { lt } else { ne });
+            s.check(&pool, &path);
+            assert!(s.zero.verdicts.len() <= 3);
+            assert!(s.model_ring.iter().all(|m| m.verdicts.len() <= 3));
+            assert!(s.model_ring.len() <= MODEL_RING);
+            assert!(s.vars_of.map.len() <= 2);
+        }
+        // A very deep assertion grows the scratch memo past what the solver
+        // keeps between queries.
+        let one = pool.constant(8, 1);
+        let mut e = x;
+        for _ in 0..3 * SCRATCH_KEEP {
+            e = pool.bin(BinOp::Add, e, one);
+        }
+        let deep = pool.ne(e, one);
+        s.check(&pool, &[deep]);
+        assert!(s.scratch.capacity() <= SCRATCH_KEEP);
+    }
+
+    #[test]
+    fn recorded_verdicts_answer_later_queries() {
+        // A verdict recorded under one query must not leak into a later
+        // query it does not belong to: the zero model rejects `x == 5`, then
+        // a SAT model for it is reused for the weaker `x != 0`.
+        let mut pool = ExprPool::new();
+        let mut s = Solver::new();
+        let x = pool.fresh_var("x", 8);
+        let c5 = pool.constant(8, 5);
+        let eq5 = pool.eq(x, c5);
+        let SatResult::Sat(m) = s.check(&pool, &[eq5]) else {
+            panic!("sat")
+        };
+        assert_eq!(m.get(VarId(0)), 5);
+        let nz = pool.is_nonzero(x);
+        let hits = s.stats.model_reuse_hits;
+        assert_eq!(s.check(&pool, &[nz]), SatResult::Sat(m));
+        assert_eq!(s.stats.model_reuse_hits, hits + 1);
+        assert_eq!(s.zero.verdicts.get(&nz), Some(&false));
+    }
+
+    mod reuse_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const ARITH: [BinOp; 6] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+        ];
+        const PREDS: [BinOp; 5] = [BinOp::Eq, BinOp::Ult, BinOp::Ule, BinOp::Slt, BinOp::Sle];
+
+        /// What the reuse fast path must answer, by direct evaluation with
+        /// [`Model::satisfies`]: the zero model, then the ring newest first.
+        /// `None` when no model satisfies `query` or constant filtering
+        /// answers it first.
+        fn reference_reuse(s: &Solver, pool: &ExprPool, query: &[ExprId]) -> Option<Model> {
+            let mut live = Vec::new();
+            for &a in query {
+                match pool.as_const(a) {
+                    Some(1) => {}
+                    Some(_) => return None,
+                    None => live.push(a),
+                }
+            }
+            if live.is_empty() {
+                return None;
+            }
+            live.sort_unstable();
+            live.dedup();
+            if Model::new().satisfies(pool, &live) {
+                return Some(Model::new());
+            }
+            s.model_ring
+                .iter()
+                .rev()
+                .map(|r| &r.model)
+                .find(|m| m.satisfies(pool, &live))
+                .cloned()
+        }
+
+        fn counters(s: &Solver) -> [u64; 6] {
+            let t = &s.stats;
+            [
+                t.queries,
+                t.const_hits,
+                t.model_reuse_hits,
+                t.cache_hits,
+                t.sat_calls,
+                t.components,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random DAGs over three variables, queried by interleaved
+            /// path pushes, pops, checks, and value enumerations (which
+            /// churn the model ring). Every answer of the memoized fast
+            /// path equals the reference selection, and a twin whose memo
+            /// tables sit at a cap of one or two entries gives the same
+            /// answers and counters.
+            #[test]
+            fn memoized_check_equals_reference_selection(
+                ops in prop::collection::vec((0u8..6, any::<u16>(), any::<u16>(), any::<u8>()), 1..24),
+                preds in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>(), any::<bool>()), 1..16),
+                actions in prop::collection::vec((0u8..5, any::<u16>()), 1..60),
+            ) {
+                let mut pool = ExprPool::new();
+                let mut terms = vec![
+                    pool.fresh_var("x", 8),
+                    pool.fresh_var("y", 8),
+                    pool.fresh_var("z", 8),
+                ];
+                for &(o, i, j, c) in &ops {
+                    let a = terms[i as usize % terms.len()];
+                    let b = if c % 4 == 0 {
+                        pool.constant(8, c as u64)
+                    } else {
+                        terms[j as usize % terms.len()]
+                    };
+                    let t = pool.bin(ARITH[o as usize], a, b);
+                    terms.push(t);
+                }
+                let ps: Vec<ExprId> = preds
+                    .iter()
+                    .map(|&(p, i, j, neg)| {
+                        let a = terms[i as usize % terms.len()];
+                        let b = terms[j as usize % terms.len()];
+                        let e = pool.bin(PREDS[p as usize], a, b);
+                        if neg { pool.bool_not(e) } else { e }
+                    })
+                    .collect();
+                let mut memo = Solver::new();
+                let mut tiny = Solver::new();
+                tiny.verdict_cap = 1;
+                tiny.vars_of.cap = 1;
+                let mut path: Vec<ExprId> = Vec::new();
+                for &(kind, arg) in &actions {
+                    let extra = ps[arg as usize % ps.len()];
+                    match kind {
+                        0 => path.push(extra),
+                        1 => {
+                            path.pop();
+                        }
+                        4 => {
+                            let t = terms[arg as usize % terms.len()];
+                            let a = memo.enumerate_values(&mut pool, t, &path, 3);
+                            let b = tiny.enumerate_values(&mut pool, t, &path, 3);
+                            prop_assert_eq!(a, b);
+                        }
+                        _ => {
+                            let mut query = path.clone();
+                            if kind == 3 {
+                                query.push(extra);
+                            }
+                            let want = reference_reuse(&memo, &pool, &query);
+                            let hits = memo.stats.model_reuse_hits;
+                            let got = memo.check(&pool, &query);
+                            match want {
+                                Some(m) => {
+                                    prop_assert_eq!(&got, &SatResult::Sat(m));
+                                    prop_assert_eq!(memo.stats.model_reuse_hits, hits + 1);
+                                }
+                                None => prop_assert_eq!(memo.stats.model_reuse_hits, hits),
+                            }
+                            prop_assert_eq!(tiny.check(&pool, &query), got);
+                        }
+                    }
+                    prop_assert_eq!(counters(&tiny), counters(&memo));
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! interpreted language; the Chef layer (`chef-core`) supplies state
 //! selection on top.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use chef_lir::{
@@ -11,7 +12,7 @@ use chef_lir::{
     MemSize, Operand, PageSource, Program, SegEvent, SegFrame, SegMem, SegPage, SegStop,
     SuperCache, Term,
 };
-use chef_solver::{ExprId, ExprPool, Solver};
+use chef_solver::{ExprId, ExprPool, FxHashMap, Solver};
 
 use crate::mem::SymMem;
 use crate::snapshot::Snapshot;
@@ -41,6 +42,12 @@ impl Default for ExecConfig {
 /// useful fork point, so recording stops and capture is forgone rather
 /// than letting the log grow with the run.
 const HL_LOG_CAP: usize = 1 << 20;
+
+/// Cap on cached restore templates. An executor explores one program, and
+/// that program's fork-point snapshots share one fingerprint, so more than
+/// one entry is rare; past the cap the oldest template is dropped and a
+/// later restore of it decodes again.
+const SNAP_CACHE_CAP: usize = 4;
 
 /// Work counters for the executor.
 #[derive(Clone, Copy, Debug, Default)]
@@ -284,16 +291,18 @@ pub struct Executor<'p> {
     /// Engines attach it to exported seeds; [`Executor::restore_state`]
     /// consumes it.
     pub fork_snapshot: Option<Arc<Snapshot>>,
-    /// Restored-state templates by snapshot fingerprint: the first restore
-    /// decodes, later ones clone (copy-on-write memory makes that cheap).
-    snap_cache: HashMap<u64, State>,
+    /// Restored-state templates by snapshot fingerprint, oldest first: the
+    /// first restore decodes, later ones clone (copy-on-write memory makes
+    /// that cheap). Holds at most `snap_cache_cap` templates.
+    snap_cache: VecDeque<(u64, State)>,
+    snap_cache_cap: usize,
     next_state_id: u64,
     /// Fast-forward gating mode.
     ff_mode: FfMode,
     /// Adaptive per-site gating state, keyed by pre-segment HL PC. Lives
     /// here (not on states) so learning survives forks and snapshot
     /// restores; exported via [`Executor::ff_sites_snapshot`].
-    ff_sites: HashMap<u64, FfSiteState>,
+    ff_sites: FxHashMap<u64, FfSiteState>,
     /// One-entry negative cache: the last HL PC found cold. Cold sites are
     /// revisited every symbolic step of a stalled region, and coldness is
     /// sticky within a run, so this turns the common skip into one compare
@@ -318,10 +327,11 @@ impl<'p> Executor<'p> {
             config,
             stats: ExecStats::default(),
             fork_snapshot: None,
-            snap_cache: HashMap::new(),
+            snap_cache: VecDeque::new(),
+            snap_cache_cap: SNAP_CACHE_CAP,
             next_state_id: 1,
             ff_mode: FfMode::default(),
-            ff_sites: HashMap::new(),
+            ff_sites: FxHashMap::default(),
             ff_cold_hint: u64::MAX,
             seg_cache: SuperCache::new(),
             seg_pages: Vec::new(),
@@ -359,8 +369,8 @@ impl<'p> Executor<'p> {
     pub fn ff_absorb<I: IntoIterator<Item = (u64, FfSiteState)>>(&mut self, sites: I) {
         for (pc, other) in sites {
             match self.ff_sites.entry(pc) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().absorb(&other),
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Occupied(mut e) => e.get_mut().absorb(&other),
+                Entry::Vacant(v) => {
                     v.insert(FfSiteState { skip: 0, ..other });
                 }
             }
@@ -407,15 +417,26 @@ impl<'p> Executor<'p> {
     /// Returns `None` if the snapshot fails validation — the caller falls
     /// back to full prefix replay ([`Executor::seeded_state`]).
     pub fn restore_state(&mut self, snap: &Snapshot) -> Option<State> {
-        if !self.snap_cache.contains_key(&snap.fingerprint) {
-            let _restore = chef_trace::span(chef_trace::Phase::SnapshotRestore);
-            let mut template = snap.restore(&mut self.pool)?;
-            // The engine replays `snap.hl_events` itself; keeping the
-            // prefix on the state would just be cloned on every fork.
-            template.hl_log = Vec::new();
-            self.snap_cache.insert(snap.fingerprint, template);
-        }
-        let mut s = self.snap_cache[&snap.fingerprint].clone();
+        let cached = self
+            .snap_cache
+            .iter()
+            .position(|(fp, _)| *fp == snap.fingerprint);
+        let slot = match cached {
+            Some(slot) => slot,
+            None => {
+                let _restore = chef_trace::span(chef_trace::Phase::SnapshotRestore);
+                let mut template = snap.restore(&mut self.pool)?;
+                // The engine replays `snap.hl_events` itself; keeping the
+                // prefix on the state would just be cloned on every fork.
+                template.hl_log = Vec::new();
+                if self.snap_cache.len() >= self.snap_cache_cap {
+                    self.snap_cache.pop_front();
+                }
+                self.snap_cache.push_back((snap.fingerprint, template));
+                self.snap_cache.len() - 1
+            }
+        };
+        let mut s = self.snap_cache[slot].1.clone();
         s.id = self.fresh_id();
         self.stats.states_created += 1;
         self.stats.snapshot_restores += 1;
@@ -1779,5 +1800,59 @@ mod tests {
         }
         assert_eq!(st.hlpc, 7);
         assert_eq!(st.hl_len, 1);
+    }
+
+    #[test]
+    fn restore_template_cache_is_bounded_without_changing_results() {
+        // Two fork-point snapshots (distinct fingerprints) restored in
+        // alternation: an executor caching one template at a time re-decodes
+        // on every switch, yet explores exactly what an unbounded one does.
+        let prog = every_fork_kind_program();
+        let mut probe = Executor::new(&prog, ExecConfig::default());
+        let mut st = probe.initial_state();
+        while probe.fork_snapshot.is_none() {
+            probe.step(&mut st);
+        }
+        let a = (*probe.fork_snapshot.take().unwrap()).clone();
+        let mut b = a.clone();
+        b.ll_steps += 1;
+        b.fingerprint = b.compute_fingerprint();
+        assert_ne!(a.fingerprint, b.fingerprint);
+        let order = [&a, &b, &a, &b, &a];
+        let run = |cap: usize| {
+            let mut exec = Executor::new(&prog, ExecConfig::default());
+            exec.snap_cache_cap = cap;
+            let mut outcomes = Vec::new();
+            for snap in order {
+                let mut queue = vec![exec.restore_state(snap).expect("valid snapshot")];
+                let mut done = Vec::new();
+                while let Some(mut st) = queue.pop() {
+                    loop {
+                        match exec.step(&mut st) {
+                            StepEvent::Terminated(t) => {
+                                let inputs = st
+                                    .concretize_inputs_canonical(&mut exec.pool, &mut exec.solver)
+                                    .map(|m| {
+                                        let mut v: Vec<_> = m.into_iter().collect();
+                                        v.sort();
+                                        v
+                                    });
+                                done.push((format!("{t:?}"), st.trace.clone(), inputs));
+                                break;
+                            }
+                            StepEvent::Forked { alternates } => queue.extend(alternates),
+                            _ => {}
+                        }
+                    }
+                }
+                done.sort();
+                outcomes.push(done);
+                assert!(exec.snap_cache.len() <= cap);
+            }
+            (outcomes, exec.stats.snapshot_restores)
+        };
+        let bounded = run(1);
+        assert!(bounded.0[0].len() >= 10, "got {} paths", bounded.0[0].len());
+        assert_eq!(bounded, run(SNAP_CACHE_CAP));
     }
 }

@@ -5,10 +5,9 @@
 //! state forking cheap — the property that makes S2E-style per-branch
 //! forking viable in the paper.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use chef_solver::{ExprId, ExprPool};
+use chef_solver::{ExprId, ExprPool, FxHashMap};
 
 const PAGE_BITS: u64 = 10;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
@@ -24,7 +23,7 @@ struct Page {
 /// O(pages) pointer copies; mutation copies only the touched page.
 #[derive(Clone)]
 pub struct SymMem {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: FxHashMap<u64, Arc<Page>>,
     zero_byte: ExprId,
 }
 
@@ -32,7 +31,7 @@ impl SymMem {
     /// Creates empty memory; `pool` is used to intern the zero byte.
     pub fn new(pool: &mut ExprPool) -> Self {
         SymMem {
-            pages: HashMap::new(),
+            pages: FxHashMap::default(),
             zero_byte: pool.constant(8, 0),
         }
     }

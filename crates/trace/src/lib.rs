@@ -417,6 +417,13 @@ pub fn take_local() -> TraceStats {
     })
 }
 
+/// Puts back stats an earlier [`take_local`] set aside, replacing whatever
+/// this thread accumulated since (a caller that ran an engine on its own
+/// thread keeps its own attribution and none of the engine's).
+pub fn restore_local(stats: TraceStats) {
+    LOCAL.with(|l| l.borrow_mut().stats = stats);
+}
+
 /// Charges `now - last` to the phase on top of the stack.
 fn charge_top(l: &mut Local, now: Instant) {
     if let (Some(&top), Some(last)) = (l.stack.last(), l.last) {
